@@ -94,8 +94,8 @@ pub fn tune_gemm_blocking(
 }
 
 /// The default joint grid: [`default_candidates`] crossed with every
-/// micro-kernel variant available in this binary on this CPU. Without the
-/// `simd` feature this degenerates to the blocking grid (scalar only).
+/// micro-kernel variant available in this binary on this CPU. On a CPU
+/// (or target) without AVX2 this degenerates to the blocking grid.
 pub fn default_config_candidates() -> Vec<GemmConfig> {
     let kernels = MicroKernel::available();
     default_candidates()

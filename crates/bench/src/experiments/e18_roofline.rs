@@ -126,8 +126,8 @@ pub fn run_opts(scale: Scale, json: bool) {
     // cleared registry, so the snapshot below covers exactly this work.
     xsc_metrics::reset();
 
-    // Dense side: a square gemm and a full HPL-like solve ("hpl_lu", whose
-    // fused panel/update loops make it a leaf entry of its own).
+    // Dense side: a square gemm and a full HPL-like solve ("hpl_lu"; its
+    // trailing updates also accrue to "trsm" and "par_gemm").
     let s = scale.pick(320, 768);
     let a = gen::random_matrix::<f64>(s, s, 1);
     let b = gen::random_matrix::<f64>(s, s, 2);
@@ -237,7 +237,7 @@ pub fn run_opts(scale: Scale, json: bool) {
             sc.checksum
         ),
         _ => println!(
-            "  no SIMD micro-kernel in this build (enable the `simd` feature on x86_64);\n  scalar arm checksum {:016x}.",
+            "  no SIMD micro-kernel runs on this CPU (needs x86_64 with AVX2);\n  scalar arm checksum {:016x}.",
             arms[0].checksum
         ),
     }

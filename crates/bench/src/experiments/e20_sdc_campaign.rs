@@ -171,12 +171,13 @@ pub fn campaign_summary(scale: Scale) -> (String, Json) {
     let baseline_iters = reference.iterations as f64;
 
     // Detector overhead at rate 0, from the metrics counters (flops come
-    // from the reports' own accounting, bytes from the recorded traffic).
+    // from the reports' own accounting, bytes from the traffic recorded on
+    // this thread, so concurrent work elsewhere cannot change the report).
     let quiet = plan_for(0.0, usize::MAX);
     let (prot_flops, prot_bytes, unprot_flops, unprot_bytes) = {
         let mut a = FormatMatrix::convert(p.a_csr.clone(), SparseFormat::CsrUsize).unwrap();
         let mut x = vec![0.0; n];
-        let (rep, delta) = xsc_metrics::measure(|| {
+        let (rep, delta) = xsc_metrics::measure_local(|| {
             protected_pcg(
                 &mut a, &p.b, &mut x, MAX_ITERS, TOL, &p.mg, &quiet, &cfg, &policy,
             )
@@ -192,7 +193,7 @@ pub fn campaign_summary(scale: Scale) -> (String, Json) {
         );
 
         let mut x2 = vec![0.0; n];
-        let (urep, udelta) = xsc_metrics::measure(|| {
+        let (urep, udelta) = xsc_metrics::measure_local(|| {
             unprotected_pcg(&mut a, &p.b, &mut x2, MAX_ITERS, TOL, &p.mg, &quiet)
         });
         assert_eq!(x2, x_ref, "rate-0 unprotected run must match plain pcg");

@@ -1,12 +1,14 @@
-//! Sequential LAPACK-style factorizations: Cholesky (`potrf`) and LU
-//! (`getrf`), unblocked and blocked, plus their solve drivers.
+//! LAPACK-style factorizations: Cholesky (`potrf`) and LU (`getrf`),
+//! unblocked and blocked, plus their solve drivers.
 //!
-//! These are the *reference engines*: `xsc-dense` layers the tiled/DAG and
-//! fork-join parallel versions on top, and every parallel result is tested
-//! against these.
+//! The unblocked forms ([`potrf_unblocked`], [`getrf_unblocked`]) are the
+//! *reference engines* every blocked, tiled and parallel result is tested
+//! against. [`getrf_blocked`] is the one blocked pivoted LU: its trailing
+//! update runs on the parallel packed GEMM, and `xsc-dense`'s HPL driver
+//! and CALU reuse its panel and update steps.
 
 use crate::error::{Error, Result};
-use crate::gemm::{gemm, Transpose};
+use crate::gemm::{gemm, par_gemm, Transpose};
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
 use crate::syrk::syrk;
@@ -99,24 +101,28 @@ pub fn potrf_solve<T: Scalar>(l: &Matrix<T>, b: &mut [T]) {
     trsv(Uplo::Lower, Transpose::Yes, Diag::NonUnit, l, b);
 }
 
-/// Unblocked right-looking LU with partial pivoting on columns
-/// `[j0, j0+ncols)` of the full matrix `a`, pivoting over rows
-/// `[j0, a.rows())`. Row swaps are applied to the *entire* row (HPL-style
-/// full-row swaps) and recorded in `piv` as absolute row indices.
+/// Unblocked right-looking LU on columns `[j0, j0+ncols)` of the full
+/// matrix `a`, over rows `[j0, a.rows())`.
 ///
-/// This in-place panel form is shared by the unblocked and blocked drivers
-/// here and by the thread-parallel HPL driver in `xsc-dense`.
+/// With `piv`, each column first pivots on its largest entry: the row swap
+/// is applied to the *entire* row (HPL-style full-row swaps) and recorded
+/// in `piv` as an absolute row index. With `None` the diagonal is used as
+/// it stands — the matrix needs no pivoting, or the caller already placed
+/// the pivots (CALU's tournament).
+///
+/// This in-place panel is the one shared by every LU driver here and in
+/// `xsc-dense`.
 pub fn getrf_panel<T: Scalar>(
     a: &mut Matrix<T>,
     j0: usize,
     ncols: usize,
-    piv: &mut [usize],
+    mut piv: Option<&mut [usize]>,
 ) -> Result<()> {
     let m = a.rows();
     for jj in 0..ncols {
         let j = j0 + jj;
-        // Pivot search in column j, rows j..m.
-        let (p, pmax) = {
+        if let Some(piv) = piv.as_deref_mut() {
+            // Pivot search in column j, rows j..m (first maximum wins).
             let col = &a.col(j)[j..m];
             let mut p = 0usize;
             let mut pmax = col[0].abs();
@@ -127,15 +133,14 @@ pub fn getrf_panel<T: Scalar>(
                     p = i;
                 }
             }
-            (j + p, pmax)
-        };
-        piv[j] = p;
-        if pmax.to_f64() == 0.0 {
-            return Err(Error::Singular { pivot: j });
+            piv[j] = j + p;
+            a.swap_rows(j, j + p);
         }
-        a.swap_rows(j, p);
         {
             let col = &mut a.col_mut(j)[j..m];
+            if col[0].abs().to_f64() == 0.0 {
+                return Err(Error::Singular { pivot: j });
+            }
             let inv = T::one() / col[0];
             for v in col[1..].iter_mut() {
                 *v *= inv;
@@ -159,25 +164,19 @@ pub fn getrf_panel<T: Scalar>(
     Ok(())
 }
 
-/// Unblocked LU with partial pivoting of a *rectangular* `m × b` panel
-/// (`m >= b`): overwrites `a` with the factors of its first `b` columns and
-/// returns the pivot swap sequence. Used by tournament pivoting (CALU) to
-/// elect candidate rows.
-pub fn getrf_unblocked_rect<T: Scalar>(a: &mut Matrix<T>) -> Result<Vec<usize>> {
-    let b = a.cols();
-    assert!(a.rows() >= b, "panel must be at least as tall as wide");
-    let mut piv = vec![0usize; b];
-    getrf_panel(a, 0, b, &mut piv)?;
-    Ok(piv)
-}
-
-/// Unblocked LU with partial pivoting: overwrites `a` with `L` (unit lower)
-/// and `U`; returns the pivot vector (`piv[k]` = row swapped with row `k`).
+/// Unblocked LU with partial pivoting of a square or tall `m × n` matrix
+/// (`m >= n`): overwrites `a` with `L` (unit lower) and `U`; returns the
+/// pivot vector (`piv[k]` = row swapped with row `k`). The reference every
+/// blocked LU driver is tested against; on a tall panel it is how
+/// tournament pivoting (CALU) elects candidate rows.
 pub fn getrf_unblocked<T: Scalar>(a: &mut Matrix<T>) -> Result<Vec<usize>> {
-    assert!(a.is_square(), "getrf requires a square matrix");
-    let n = a.rows();
+    let n = a.cols();
+    assert!(
+        a.rows() >= n,
+        "getrf requires at least as many rows as columns"
+    );
     let mut piv = vec![0usize; n];
-    getrf_panel(a, 0, n, &mut piv)?;
+    getrf_panel(a, 0, n, Some(&mut piv))?;
     Ok(piv)
 }
 
@@ -186,76 +185,60 @@ pub fn getrf_unblocked<T: Scalar>(a: &mut Matrix<T>) -> Result<Vec<usize>> {
 /// keynote's motivation for randomization).
 pub fn getrf_nopiv<T: Scalar>(a: &mut Matrix<T>) -> Result<()> {
     assert!(a.is_square(), "getrf requires a square matrix");
-    let n = a.rows();
-    for j in 0..n {
-        let pivval = a.get(j, j);
-        if pivval.abs().to_f64() == 0.0 {
-            return Err(Error::Singular { pivot: j });
-        }
-        let inv = T::one() / pivval;
-        for i in j + 1..n {
-            let v = a.get(i, j) * inv;
-            a.set(i, j, v);
-        }
-        for c in j + 1..n {
-            let s = a.get(j, c);
-            if s == T::zero() {
-                continue;
-            }
-            for i in j + 1..n {
-                let lv = a.get(i, j);
-                let v = a.get(i, c);
-                a.set(i, c, (-s).mul_add(lv, v));
-            }
-        }
-    }
-    Ok(())
+    getrf_panel(a, 0, a.rows(), None)
 }
 
-/// Blocked right-looking LU with partial pivoting — the sequential core of
-/// the HPL-like benchmark. Panel factorization, full-row swaps, `trsm` on
-/// the row panel, `gemm` on the trailing submatrix.
+/// The trailing update of one right-looking LU step, once the panel
+/// columns `[k, k+kb)` are factored: `U12 <- L11⁻¹ A12` (unit lower
+/// `trsm`), then `A22 <- A22 − L21 U12` with [`par_gemm`] (which takes the
+/// sequential path for small updates). Shared by [`getrf_blocked`] and
+/// CALU in `xsc-dense`.
+pub fn getrf_update<T: Scalar>(a: &mut Matrix<T>, k: usize, kb: usize) {
+    let m2 = a.rows() - k - kb;
+    let n2 = a.cols() - k - kb;
+    if n2 == 0 {
+        return;
+    }
+    let l11 = a.block(k, k, kb, kb);
+    let mut a12 = a.block(k, k + kb, kb, n2);
+    trsm(
+        Side::Left,
+        Uplo::Lower,
+        Transpose::No,
+        Diag::Unit,
+        T::one(),
+        &l11,
+        &mut a12,
+    );
+    a12.copy_block_into(0, 0, kb, n2, a, k, k + kb);
+    let l21 = a.block(k + kb, k, m2, kb);
+    let mut a22 = a.block(k + kb, k + kb, m2, n2);
+    par_gemm(
+        Transpose::No,
+        Transpose::No,
+        -T::one(),
+        &l21,
+        &a12,
+        T::one(),
+        &mut a22,
+    );
+    a22.copy_block_into(0, 0, m2, n2, a, k + kb, k + kb);
+}
+
+/// Blocked right-looking LU with partial pivoting — the LU driver of the
+/// HPL-like benchmark and of every pivoted solve in the workspace. Each
+/// step factors a pivoted panel with full-row swaps ([`getrf_panel`]),
+/// then applies the `trsm` + `par_gemm` trailing update
+/// ([`getrf_update`]).
 pub fn getrf_blocked<T: Scalar>(a: &mut Matrix<T>, nb: usize) -> Result<Vec<usize>> {
     assert!(a.is_square(), "getrf requires a square matrix");
     assert!(nb > 0, "block size must be positive");
     let n = a.rows();
     let mut piv = vec![0usize; n];
-    let mut k = 0;
-    while k < n {
+    for k in (0..n).step_by(nb) {
         let kb = nb.min(n - k);
-        // Panel columns [k, k+kb): factor with pivoting over rows [k, n).
-        getrf_panel(a, k, kb, &mut piv)?;
-        let n2 = n - k - kb;
-        if n2 > 0 {
-            // U12 <- L11^{-1} * A12 (unit lower triangular solve).
-            let l11 = a.block(k, k, kb, kb);
-            let mut a12 = a.block(k, k + kb, kb, n2);
-            trsm(
-                Side::Left,
-                Uplo::Lower,
-                Transpose::No,
-                Diag::Unit,
-                T::one(),
-                &l11,
-                &mut a12,
-            );
-            a12.copy_block_into(0, 0, kb, n2, a, k, k + kb);
-            // A22 <- A22 - L21 * U12.
-            let m2 = n - k - kb;
-            let l21 = a.block(k + kb, k, m2, kb);
-            let mut a22 = a.block(k + kb, k + kb, m2, n2);
-            gemm(
-                Transpose::No,
-                Transpose::No,
-                -T::one(),
-                &l21,
-                &a12,
-                T::one(),
-                &mut a22,
-            );
-            a22.copy_block_into(0, 0, m2, n2, a, k + kb, k + kb);
-        }
-        k += kb;
+        getrf_panel(a, k, kb, Some(&mut piv))?;
+        getrf_update(a, k, kb);
     }
     Ok(piv)
 }
@@ -424,14 +407,16 @@ mod tests {
 
     #[test]
     fn getrf_blocked_matches_unblocked() {
-        for nb in [1, 4, 7, 32] {
-            let a = gen::random_matrix::<f64>(23, 23, 5);
+        // n = 23 stays on gemm's column sweep; (160, 32) and (517, 64)
+        // reach the packed parallel path of the trailing update.
+        for (n, nb) in [(23, 1), (23, 4), (23, 7), (23, 32), (160, 32), (517, 64)] {
+            let a = gen::random_matrix::<f64>(n, n, 5);
             let mut f1 = a.clone();
             let mut f2 = a.clone();
             let p1 = getrf_unblocked(&mut f1).unwrap();
             let p2 = getrf_blocked(&mut f2, nb).unwrap();
-            assert_eq!(p1, p2, "nb={nb} pivot sequence differs");
-            assert!(f1.approx_eq(&f2, 1e-10), "nb={nb} factors differ");
+            assert_eq!(p1, p2, "n={n} nb={nb} pivot sequence differs");
+            assert!(f1.approx_eq(&f2, 1e-10), "n={n} nb={nb} factors differ");
         }
     }
 

@@ -618,9 +618,11 @@ pub fn par_gemm_with_opts<T: Scalar>(
         scale_by_beta(c.as_mut_slice(), beta);
         return;
     }
-    if m.saturating_mul(n).saturating_mul(k) <= SMALL_GEMM_FLOPS {
-        // Fork-join overhead dominates below the packing cutoff.
-        // (Records under "gemm" there, so no double-count here.)
+    if n < NR || m.saturating_mul(n).saturating_mul(k) <= SMALL_GEMM_FLOPS {
+        // Fork-join overhead dominates below the packing cutoff. Same
+        // predicate as `gemm`'s column-sweep path, so both give the same
+        // bits at every shape. (Records under "gemm" there, so no
+        // double-count here.)
         gemm_with_opts(transa, transb, alpha, a, b, beta, c, params, kernel);
         return;
     }

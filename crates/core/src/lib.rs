@@ -35,12 +35,9 @@
 //! ```
 
 #![deny(missing_docs)]
-// `unsafe` is denied workspace-style everywhere; the single sanctioned
-// exception is the feature-gated SIMD micro-kernel module, which opts back
-// in locally (every block there carries a `// SAFETY:` comment, enforced
-// by xsc-lint rule S01). Without the `simd` feature the whole crate is
-// `forbid(unsafe_code)` exactly as before.
-#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
+// `unsafe` is denied everywhere; the single sanctioned exception is the
+// x86_64 SIMD micro-kernel module, which opts back in locally (every block
+// there carries a `// SAFETY:` comment, enforced by xsc-lint rule S01).
 #![deny(unsafe_code)]
 #![allow(clippy::needless_range_loop)] // index-coupled updates across multiple slices are the clearest form for these kernels
 

@@ -10,8 +10,9 @@
 //!   multiply-add per element, vectorized only as far as the default
 //!   target baseline (SSE2 on `x86_64`) allows.
 //! * [`MicroKernel::Avx2`] / [`MicroKernel::Avx512`] — explicit
-//!   `std::arch` intrinsic kernels (behind the `simd` cargo feature) that
-//!   vectorize across the `MR` independent *rows* of the micro-tile.
+//!   `std::arch` intrinsic kernels (always compiled on `x86_64`, picked by
+//!   runtime CPU detection) that vectorize across the `MR` independent
+//!   *rows* of the micro-tile.
 //!
 //! ## Bit-identity contract
 //!
@@ -32,8 +33,8 @@
 //! Selection mirrors [`crate::gemm::GemmParams`]: a process-wide default
 //! ([`set_global_microkernel`], typically installed by `xsc-autotune`) and
 //! an explicit per-call override (`gemm_with_opts`). The default is
-//! [`MicroKernel::best_available`] — the widest variant this binary *and*
-//! this CPU support, falling back to scalar everywhere else.
+//! [`MicroKernel::best_available`] — the widest variant this CPU supports,
+//! falling back to scalar everywhere else.
 
 use crate::gemm::{MR, NR};
 use crate::scalar::Scalar;
@@ -45,12 +46,12 @@ pub enum MicroKernel {
     /// Portable scalar kernel (compiler-vectorized at the target baseline).
     Scalar,
     /// 256-bit AVX2 kernel: 4 `f64` (or 8 `f32`) lanes per vector op.
-    /// Requires the `simd` feature, `x86_64`, and runtime AVX2 support.
+    /// Requires `x86_64` and runtime AVX2 support.
     Avx2,
     /// 512-bit AVX-512F kernel: 8 `f64` lanes — one register per
-    /// micro-tile column. Requires the `simd` feature, `x86_64`, and
-    /// runtime AVX-512F support. `f32` problems fall back to the AVX2
-    /// kernel (the `MR = 8` tile only fills half a 512-bit register).
+    /// micro-tile column. Requires `x86_64` and runtime AVX-512F
+    /// support. `f32` problems fall back to the AVX2 kernel (the `MR = 8`
+    /// tile only fills half a 512-bit register).
     Avx512,
 }
 
@@ -74,7 +75,7 @@ impl MicroKernel {
     }
 
     /// Every variant runnable in this binary on this CPU, scalar first.
-    /// Without the `simd` feature this is always `[Scalar]`.
+    /// Off `x86_64` this is always `[Scalar]`.
     pub fn available() -> Vec<MicroKernel> {
         [MicroKernel::Scalar, MicroKernel::Avx2, MicroKernel::Avx512]
             .into_iter()
@@ -171,14 +172,16 @@ pub(crate) fn scalar_kernel<T: Scalar>(kcb: usize, apan: &[T], bpan: &[T], acc: 
     }
 }
 
-/// Explicit-SIMD kernels (the `simd` cargo feature on `x86_64`).
+/// Explicit-SIMD kernels, compiled on every `x86_64` build and
+/// dispatched only after runtime CPU detection. This module is the one
+/// place in the crate that opts out of `deny(unsafe_code)`.
 ///
 /// Lint rule S01 requires a `// SAFETY:` comment on every `unsafe` block;
 /// the soundness argument everywhere below is the same two-parter:
 /// (1) the caller checked CPU support at runtime before dispatching here,
 /// and (2) the packed panels are zero-padded to full `MR`/`NR` blocks, so
 /// every vector load/store below stays inside its slice.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod simd {
     // Keep every pointer operation inside an explicit `unsafe` block with
@@ -377,10 +380,9 @@ mod simd {
     }
 }
 
-/// Stub used when the `simd` feature is off (or the target is not
-/// `x86_64`): no SIMD variant is ever available, and resolution always
-/// lands on the scalar kernel.
-#[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+/// Stub for targets other than `x86_64`: no SIMD variant is ever
+/// available, and resolution always lands on the scalar kernel.
+#[cfg(not(target_arch = "x86_64"))]
 mod simd {
     use super::{scalar_kernel, MicroKernel, MicroKernelFn};
     use crate::scalar::Scalar;

@@ -44,7 +44,7 @@ proptest! {
     }
 
     /// Optimized and parallel gemm agree with the naive reference for all
-    /// transpose combinations.
+    /// transpose combinations, and `par_gemm` is bitwise equal to `gemm`.
     #[test]
     fn gemm_variants_agree(
         m in 1usize..20, k in 1usize..20, n in 1usize..20,
@@ -64,13 +64,15 @@ proptest! {
         par_gemm(t(ta), t(tb), 0.75, &a, &b, -1.25, &mut c_par);
         prop_assert!(c_naive.approx_eq(&c_fast, 1e-10 * (k as f64 + 1.0)));
         prop_assert!(c_naive.approx_eq(&c_par, 1e-10 * (k as f64 + 1.0)));
+        prop_assert_eq!(c_fast.as_slice(), c_par.as_slice());
     }
 
     /// The blocked kernel and its parallel driver agree with the naive
     /// reference on shapes that straddle every micro- and macro-tile
     /// boundary (1, block-1, block, block+1 for MR/NR/MC/KC/NC at the
     /// default blocking), for all four transpose combinations and
-    /// beta in {0, 1, other}.
+    /// beta in {0, 1, other}. `par_gemm` must match `gemm` bit for bit:
+    /// the blocked LU's factors rest on it.
     #[test]
     fn blocked_gemm_agrees_on_tile_boundaries(
         mi in 0..7usize, ki in 0..4usize, ni in 0..7usize,
@@ -96,6 +98,7 @@ proptest! {
         let tol = 1e-10 * (k as f64 + 1.0);
         prop_assert!(c_naive.approx_eq(&c_fast, tol), "gemm diff {}", c_naive.max_abs_diff(&c_fast));
         prop_assert!(c_naive.approx_eq(&c_par, tol), "par_gemm diff {}", c_naive.max_abs_diff(&c_par));
+        prop_assert_eq!(c_fast.as_slice(), c_par.as_slice());
     }
 
     /// trsm really inverts trmm: X := op(T)^{-1} (op(T) X).

@@ -10,8 +10,8 @@
 //! GEPP's in theory but comparable in practice, which the tests check.
 
 use rayon::prelude::*;
-use xsc_core::{factor, gemm, trsm};
-use xsc_core::{Error, Matrix, Result, Scalar, Transpose};
+use xsc_core::factor;
+use xsc_core::{Matrix, Result, Scalar};
 
 /// Selects `b = panel.cols()` pivot rows for a tall panel by tournament:
 /// returns the winners' row indices *within the panel* (ascending order
@@ -78,7 +78,7 @@ pub fn tournament_pivot_rows<T: Scalar>(
 fn elect<T: Scalar>(mut rows: Vec<usize>, mut data: Matrix<T>) -> Result<(Vec<usize>, Matrix<T>)> {
     let b = data.cols();
     let snapshot = data.clone();
-    let piv = factor::getrf_unblocked_rect(&mut data)?;
+    let piv = factor::getrf_unblocked(&mut data)?;
     for (k, &p) in piv.iter().enumerate() {
         rows.swap(k, p);
     }
@@ -109,8 +109,7 @@ pub fn calu<T: Scalar>(a: &mut Matrix<T>, nb: usize, block_rows: usize) -> Resul
     assert!(nb > 0, "block size must be positive");
     let n = a.rows();
     let mut piv = vec![0usize; n];
-    let mut k = 0;
-    while k < n {
+    for k in (0..n).step_by(nb) {
         let kb = nb.min(n - k);
         // Tournament over the panel rows [k, n).
         let panel = a.block(k, k, n - k, kb);
@@ -132,73 +131,12 @@ pub fn calu<T: Scalar>(a: &mut Matrix<T>, nb: usize, block_rows: usize) -> Resul
                 }
             }
         }
-        // Panel factorization without further pivoting.
-        panel_nopiv(a, k, kb)?;
-        let ntrail = n - k - kb;
-        if ntrail > 0 {
-            let l11 = a.block(k, k, kb, kb);
-            let mut a12 = a.block(k, k + kb, kb, ntrail);
-            trsm::trsm(
-                trsm::Side::Left,
-                trsm::Uplo::Lower,
-                Transpose::No,
-                trsm::Diag::Unit,
-                T::one(),
-                &l11,
-                &mut a12,
-            );
-            a12.copy_block_into(0, 0, kb, ntrail, a, k, k + kb);
-            let m2 = n - k - kb;
-            let l21 = a.block(k + kb, k, m2, kb);
-            let mut a22 = a.block(k + kb, k + kb, m2, ntrail);
-            gemm::gemm(
-                Transpose::No,
-                Transpose::No,
-                -T::one(),
-                &l21,
-                &a12,
-                T::one(),
-                &mut a22,
-            );
-            a22.copy_block_into(0, 0, m2, ntrail, a, k + kb, k + kb);
-        }
-        k += kb;
+        // The tournament placed the pivots: factor the panel without
+        // further pivoting.
+        factor::getrf_panel(a, k, kb, None)?;
+        factor::getrf_update(a, k, kb);
     }
     Ok(piv)
-}
-
-/// Panel factorization without pivoting on columns `[j0, j0+ncols)` over
-/// rows `[j0, m)` (the tournament already placed the pivots on top).
-fn panel_nopiv<T: Scalar>(a: &mut Matrix<T>, j0: usize, ncols: usize) -> Result<()> {
-    let m = a.rows();
-    for jj in 0..ncols {
-        let j = j0 + jj;
-        let pivval = a.get(j, j);
-        if pivval.abs().to_f64() == 0.0 {
-            return Err(Error::Singular { pivot: j });
-        }
-        {
-            let col = &mut a.col_mut(j)[j..m];
-            let inv = T::one() / col[0];
-            for v in col[1..].iter_mut() {
-                *v *= inv;
-            }
-        }
-        for c in jj + 1..ncols {
-            let jc = j0 + c;
-            let (lcol, ccol) = a.two_cols_mut(j, jc);
-            let s = ccol[j];
-            if s == T::zero() {
-                continue;
-            }
-            let l = &lcol[j + 1..m];
-            let x = &mut ccol[j + 1..m];
-            for (xi, &li) in x.iter_mut().zip(l.iter()) {
-                *xi = (-s).mul_add(li, *xi);
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -288,7 +226,7 @@ mod tests {
         // One leaf covering all rows: winners = GEPP's first b pivot rows.
         let winners = tournament_pivot_rows(&panel, m).unwrap();
         let mut f = panel.clone();
-        let piv = factor::getrf_unblocked_rect(&mut f).unwrap();
+        let piv = factor::getrf_unblocked(&mut f).unwrap();
         let mut rows: Vec<usize> = (0..m).collect();
         for (k, &p) in piv.iter().enumerate() {
             rows.swap(k, p);

@@ -1,77 +1,28 @@
-//! HPL-like benchmark core: thread-parallel blocked LU with partial
-//! pivoting, HPL flop accounting, and the HPL acceptance residual.
+//! HPL-like benchmark core: blocked LU with partial pivoting, HPL flop
+//! accounting, and the HPL acceptance residual.
 //!
 //! This is the "old rules" side of the keynote's headline figure: dense LU
-//! is compute-bound, so it runs at a large fraction of machine peak — the
-//! number the Top500 ranks by. The HPCG-like driver in `xsc-sparse` is the
-//! "new rules" counterpart.
+//! is compute-bound — its flops are spent in GEMM — so it runs at a large
+//! fraction of machine peak, the number the Top500 ranks by. The HPCG-like
+//! driver in `xsc-sparse` is the "new rules" counterpart.
 
-use rayon::prelude::*;
 use xsc_core::{factor, flops, gen, norms};
 use xsc_core::{Matrix, Result, Scalar, Transpose};
 use xsc_metrics::Stopwatch;
 
-/// Thread-parallel blocked right-looking LU with partial pivoting.
+/// Blocked right-looking LU with partial pivoting, recorded as the
+/// `hpl_lu` metrics scope.
 ///
-/// The panel factors sequentially (with full-row swaps, as HPL does); the
-/// `L11⁻¹`-solve and trailing `gemm` update of each step run column-parallel
-/// over the trailing submatrix.
+/// This is [`factor::getrf_blocked`]: a pivoted panel with full-row swaps
+/// (as HPL does), then a `trsm` on the row panel and a thread-parallel
+/// `par_gemm` on the trailing submatrix. The `hpl_lu` entry aggregates the
+/// `trsm`/`gemm`/`par_gemm` entries nested inside it.
 pub fn par_getrf<T: Scalar>(a: &mut Matrix<T>, nb: usize) -> Result<Vec<usize>> {
-    assert!(a.is_square(), "par_getrf requires a square matrix");
-    assert!(nb > 0, "block size must be positive");
-    let n = a.rows();
-    if n == 0 {
-        // A 0x0 system is vacuously factored; bail before the trailing-update
-        // machinery (par_chunks_mut rejects zero-sized chunks).
-        return Ok(Vec::new());
-    }
     let _scope = xsc_metrics::record(
         "hpl_lu",
-        xsc_metrics::traffic::lu_blocked(n, nb, std::mem::size_of::<T>() as u64),
+        xsc_metrics::traffic::lu_blocked(a.rows(), nb, std::mem::size_of::<T>() as u64),
     );
-    let mut piv = vec![0usize; n];
-    let mut k = 0;
-    while k < n {
-        let kb = nb.min(n - k);
-        factor::getrf_panel(a, k, kb, &mut piv)?;
-        let ntrail = n - k - kb;
-        if ntrail > 0 {
-            // Split the column-major buffer: `left` holds columns
-            // [0, k+kb) — including the freshly factored panel (read-only
-            // below) — and `right` the trailing columns we update in
-            // parallel.
-            let (left, right) = a.as_mut_slice().split_at_mut((k + kb) * n);
-            let left = &*left;
-            // Column c of the panel (global column k+c), rows k..n.
-            let panel_col = |c: usize| -> &[T] { &left[(k + c) * n + k..(k + c + 1) * n] };
-            right.par_chunks_mut(n).for_each(|col| {
-                // 1) x <- L11^{-1} x  (unit lower, forward substitution).
-                for c in 0..kb {
-                    let xc = col[k + c];
-                    if xc == T::zero() {
-                        continue;
-                    }
-                    let lc = panel_col(c);
-                    for r in c + 1..kb {
-                        col[k + r] = (-xc).mul_add(lc[r], col[k + r]);
-                    }
-                }
-                // 2) y <- y - L21 * x  (trailing rows).
-                for c in 0..kb {
-                    let xc = col[k + c];
-                    if xc == T::zero() {
-                        continue;
-                    }
-                    let lc = panel_col(c);
-                    for r in kb..n - k {
-                        col[k + r] = (-xc).mul_add(lc[r], col[k + r]);
-                    }
-                }
-            });
-        }
-        k += kb;
-    }
-    Ok(piv)
+    factor::getrf_blocked(a, nb)
 }
 
 /// Outcome of one HPL-like run.
@@ -144,7 +95,7 @@ mod tests {
         for (n, nb) in [(37, 8), (64, 16), (50, 64)] {
             let a = gen::random_matrix::<f64>(n, n, 1);
             let mut f_seq = a.clone();
-            let p_seq = factor::getrf_blocked(&mut f_seq, nb).unwrap();
+            let p_seq = factor::getrf_unblocked(&mut f_seq).unwrap();
             let mut f_par = a.clone();
             let p_par = par_getrf(&mut f_par, nb).unwrap();
             assert_eq!(p_seq, p_par, "pivots differ n={n} nb={nb}");

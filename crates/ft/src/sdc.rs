@@ -348,7 +348,8 @@ pub struct SdcReport {
     /// Iterations discarded by rollbacks (`executed − committed`).
     pub replayed_iterations: usize,
     /// Direction restarts (`p ← z`) performed after stall detections —
-    /// the recovery for consistent-state search-direction corruption.
+    /// the recovery for consistent-state search-direction corruption —
+    /// and after residual replacements at a failed convergence check.
     pub direction_restarts: u32,
     /// `‖r‖/‖b‖` after each committed iteration (index 0 = initial).
     pub residual_history: Vec<f64>,
@@ -418,7 +419,9 @@ fn inject<A: SparseOps + ?Sized>(
 ///    iterations — the drift check runs first, so a state that silently
 ///    absorbed a corruption is never captured;
 /// 8. validated convergence — the stopping test must be confirmed by the
-///    recomputed residual before the solve reports success.
+///    recomputed residual (drift within `tol`) before the solve reports
+///    success; a drift between `tol` and `cfg.drift_tol` replaces the
+///    recurrence residual with `b − Ax` and iterates on.
 ///
 /// Any detector verdict triggers rollback to the last good checkpoint:
 /// buffers and recurrence scalars are restored bit-exactly, the operator's
@@ -599,7 +602,10 @@ pub fn protected_pcg<A: SparseOps + ?Sized, P: CheckedApply>(
         }
 
         // 8. Validated convergence: the recurrence says done — confirm
-        // against the recomputed residual before believing it.
+        // against the recomputed residual before believing it. Success
+        // needs drift within `tol` as well as `cfg.drift_tol`, so a
+        // confirmed answer's true residual is within `2 · tol`.
+        let mut replaced = false;
         if rel <= tol {
             let drift = residual_drift(a, x, b, &r, &mut scratch);
             flops += 2 * nnz + 3 * nf;
@@ -612,8 +618,30 @@ pub fn protected_pcg<A: SparseOps + ?Sized, P: CheckedApply>(
                     tolerated: cfg.drift_tol,
                 });
             }
-            converged = true;
-            break;
+            if drift <= tol {
+                converged = true;
+                break;
+            }
+            // 8b. Residual replacement: a drift between `tol` and
+            // `cfg.drift_tol` passed the periodic checks, so the last
+            // checkpoint may hold it too and a rollback would replay into
+            // the same verdict. Continue from the current `x` with the
+            // true residual `b − Ax` (in `scratch`) and a fresh direction.
+            detections.push(DetectionRecord {
+                iteration: iterations,
+                sweep,
+                what: SdcDetected::ResidualDrift {
+                    iteration: iterations,
+                    observed: drift,
+                    tolerated: tol,
+                },
+            });
+            r.copy_from_slice(&scratch);
+            if let Some(last) = history.last_mut() {
+                *last = blas1::nrm2(&r) / bnorm;
+            }
+            flops += 2 * nf;
+            replaced = true;
         }
 
         // 6. Self-checking preconditioner application.
@@ -625,7 +653,8 @@ pub fn protected_pcg<A: SparseOps + ?Sized, P: CheckedApply>(
 
         let rz_new = blas1::dot_pairwise(&r, &z);
         flops += 2 * nf;
-        if cfg.stall_window > 0 && stall_count >= cfg.stall_window {
+        let stalled = cfg.stall_window > 0 && stall_count >= cfg.stall_window;
+        if stalled {
             // 9. Stall verdict: a corrupted `p` cannot break the drift
             // invariant — `x` and `r` are updated consistently with
             // whatever direction was used — so the state is valid and the
@@ -639,6 +668,8 @@ pub fn protected_pcg<A: SparseOps + ?Sized, P: CheckedApply>(
                     window: cfg.stall_window,
                 },
             });
+        }
+        if stalled || replaced {
             rz = rz_new;
             p.copy_from_slice(&z);
             stall_count = 0;
@@ -962,6 +993,35 @@ mod tests {
         assert!(
             report.final_true_residual > 1e-7,
             "unprotected run should not genuinely converge: {:.3e}",
+            report.final_true_residual
+        );
+    }
+
+    /// A bit flip whose drift lies between `tol` (1e-8) and the default
+    /// `drift_tol` (1e-6) once returned `Converged` with a true residual
+    /// 40× `tol`. The convergence check now bounds drift by `tol` and
+    /// replaces the residual instead of accepting the answer.
+    #[test]
+    fn sub_threshold_flip_cannot_validate_a_wrong_answer() {
+        let (mut a, b) = problem(SparseFormat::CsrUsize);
+        let plan = MemFaultPlan::new(53, 0.1, FaultKind::BitFlip);
+        let mut x = vec![0.0; b.len()];
+        let report = protected_pcg(
+            &mut a,
+            &b,
+            &mut x,
+            200,
+            1e-8,
+            &Identity,
+            &plan,
+            &ProtectConfig::default(),
+            &RecoveryPolicy::with_max_attempts(10),
+        );
+        assert!(!report.injections.is_empty());
+        assert!(report.outcome.converged(), "{:?}", report.outcome);
+        assert!(
+            report.final_true_residual <= 2e-8,
+            "validated answer misses tol: true residual {:.3e}",
             report.final_true_residual
         );
     }

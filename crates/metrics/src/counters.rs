@@ -11,6 +11,7 @@
 //! keeps kernels separate for exactly this reason.
 
 use crate::stopwatch::Stopwatch;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -156,6 +157,12 @@ impl Registry {
         cell.ns += ns;
     }
 
+    /// Adds a whole accumulated entry to `kernel`'s entry.
+    fn merge_entry(&self, kernel: &'static str, counters: &KernelCounters) {
+        let mut map = self.cells.lock().expect("metrics registry poisoned");
+        map.entry(kernel).or_default().merge(counters);
+    }
+
     /// Counters for one kernel, if it has recorded anything.
     pub fn get(&self, kernel: &str) -> Option<KernelCounters> {
         self.cells
@@ -226,10 +233,25 @@ pub fn thread_totals() -> (u64, u64) {
     THREAD_TOTALS.with(|t| t.get())
 }
 
-fn bump_thread_totals(traffic: &Traffic) {
+thread_local! {
+    /// Registries of the [`measure_local`] calls open on this thread,
+    /// innermost last. A recorder completing on this thread also adds to
+    /// the innermost one; closing a capture folds it into the one around it.
+    static LOCAL_CAPTURES: RefCell<Vec<Registry>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Commits one completed recorder: to the global registry, this thread's
+/// running totals, and this thread's innermost open local capture.
+fn commit(kernel: &'static str, traffic: Traffic, ns: u64) {
+    GLOBAL.add(kernel, traffic, ns);
     THREAD_TOTALS.with(|t| {
         let (f, b) = t.get();
         t.set((f + traffic.flops, b + traffic.bytes()));
+    });
+    LOCAL_CAPTURES.with(|c| {
+        if let Some(local) = c.borrow().last() {
+            local.add(kernel, traffic, ns);
+        }
     });
 }
 
@@ -254,9 +276,7 @@ impl ScopedRecorder {
 impl Drop for ScopedRecorder {
     fn drop(&mut self) {
         if let Some(start) = self.start {
-            let ns = start.nanos();
-            GLOBAL.add(self.kernel, self.traffic, ns);
-            bump_thread_totals(&self.traffic);
+            commit(self.kernel, self.traffic, start.nanos());
         }
     }
 }
@@ -284,8 +304,7 @@ pub fn record(kernel: &'static str, traffic: Traffic) -> ScopedRecorder {
 /// (for analytic or replayed work that has no wall-clock span).
 pub fn record_untimed(kernel: &'static str, traffic: Traffic) {
     if enabled() {
-        GLOBAL.add(kernel, traffic, 0);
-        bump_thread_totals(&traffic);
+        commit(kernel, traffic, 0);
     }
 }
 
@@ -331,6 +350,55 @@ pub fn measure<R>(f: impl FnOnce() -> R) -> (R, Vec<(&'static str, KernelCounter
         })
         .collect();
     (out, delta)
+}
+
+/// An open [`measure_local`] capture; dropping it (also while unwinding)
+/// closes the capture.
+struct LocalCapture;
+
+impl LocalCapture {
+    fn open() -> Self {
+        LOCAL_CAPTURES.with(|c| c.borrow_mut().push(Registry::new()));
+        LocalCapture
+    }
+
+    /// Pops this capture, folds it into the enclosing one, and returns its
+    /// non-empty entries.
+    fn pop() -> Vec<(&'static str, KernelCounters)> {
+        LOCAL_CAPTURES.with(|c| {
+            let mut stack = c.borrow_mut();
+            let mine = stack.pop().map(|r| r.snapshot()).unwrap_or_default();
+            if let Some(outer) = stack.last() {
+                for (k, v) in &mine {
+                    outer.merge_entry(k, v);
+                }
+            }
+            mine.into_iter().filter(|(_, v)| !v.is_empty()).collect()
+        })
+    }
+
+    fn close(self) -> Vec<(&'static str, KernelCounters)> {
+        std::mem::forget(self);
+        Self::pop()
+    }
+}
+
+impl Drop for LocalCapture {
+    fn drop(&mut self) {
+        Self::pop();
+    }
+}
+
+/// Like [`measure`], but counts only the recorders that complete on the
+/// calling thread while `f` runs, so work that other threads record at the
+/// same time (concurrent tests, other requests) cannot leak into the
+/// delta. The instrumented sparse and Krylov kernels open their scopes on
+/// the calling thread even when they run in parallel inside; scopes that
+/// run as tasks on executor workers (tiled Cholesky, say) are not seen.
+pub fn measure_local<R>(f: impl FnOnce() -> R) -> (R, Vec<(&'static str, KernelCounters)>) {
+    let capture = LocalCapture::open();
+    let out = f();
+    (out, capture.close())
 }
 
 #[cfg(test)]
@@ -460,6 +528,47 @@ mod tests {
         let (f1, b1) = thread_totals();
         assert_eq!(f1 - f0, 3);
         assert_eq!(b1 - b0, 3);
+    }
+
+    #[test]
+    fn measure_local_ignores_other_threads_and_nests() {
+        let t = |flops| Traffic {
+            flops,
+            bytes_read: 2 * flops,
+            bytes_written: 0,
+        };
+        let ((inner, ()), outer) = measure_local(|| {
+            record_untimed("local_a", t(1));
+            // Recorded on another thread while the capture is open.
+            std::thread::spawn(move || record_untimed("local_a", t(1000)))
+                .join()
+                .unwrap();
+            let nested = measure_local(|| record_untimed("local_b", t(7)));
+            (nested.1, ())
+        });
+        assert_eq!(
+            inner,
+            vec![(
+                "local_b",
+                KernelCounters {
+                    flops: 7,
+                    bytes_read: 14,
+                    bytes_written: 0,
+                    invocations: 1,
+                    ns: 0,
+                }
+            )]
+        );
+        let map: BTreeMap<_, _> = outer.into_iter().collect();
+        assert_eq!(map.len(), 2, "{map:?}");
+        assert_eq!(map["local_a"].flops, 1, "other threads are not counted");
+        assert_eq!(map["local_b"].flops, 7, "the nested capture folds outward");
+        // A panicking region closes its capture.
+        let caught =
+            std::panic::catch_unwind(|| measure_local(|| -> () { panic!("inside a capture") }));
+        assert!(caught.is_err());
+        let ((), after) = measure_local(|| record_untimed("local_c", t(3)));
+        assert_eq!(after.len(), 1);
     }
 
     proptest! {

@@ -53,8 +53,8 @@ pub mod stopwatch;
 pub mod traffic;
 
 pub use counters::{
-    get, measure, record, record_untimed, reset, set_enabled, snapshot, thread_totals, total,
-    KernelCounters, Registry, ScopedRecorder, Traffic,
+    get, measure, measure_local, record, record_untimed, reset, set_enabled, snapshot,
+    thread_totals, total, KernelCounters, Registry, ScopedRecorder, Traffic,
 };
 pub use quantiles::{percentile, LatencySummary};
 pub use roofline::{ascii_roofline, BoundVerdict, MachineEnvelope, RooflinePoint};

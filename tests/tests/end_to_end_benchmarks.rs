@@ -25,7 +25,7 @@ fn parallel_lu_agrees_with_sequential_reference_end_to_end() {
     factor::getrf_solve(&f_par, &piv_par, &mut x_par);
 
     let mut f_seq = a.clone();
-    let piv_seq = factor::getrf_blocked(&mut f_seq, 32).unwrap();
+    let piv_seq = factor::getrf_unblocked(&mut f_seq).unwrap();
     let mut x_seq = b.clone();
     factor::getrf_solve(&f_seq, &piv_seq, &mut x_seq);
 

@@ -9,8 +9,8 @@
 //!    bitwise identical numerical results for the same task graph at any
 //!    worker count, under every scheduling policy.
 //!
-//! Compile with `--features simd` to exercise the AVX2/AVX-512 kernels;
-//! without it the suites still run (scalar-only) and pin the invariants.
+//! On `x86_64` the AVX2/AVX-512 kernels are always compiled in, so these
+//! suites compare every kernel the CPU can run against scalar.
 
 use proptest::prelude::*;
 use xsc_core::gemm::{gemm_with_opts, Transpose, MR, NR};
